@@ -15,7 +15,8 @@
 //! deterministic schedules — the delta is purely what the flat tier
 //! buys over walking the authenticated tree for latest-state access.
 //! `scripts/bench.sh` assembles `BENCH_hot.json` with the derived
-//! hot-vs-tree speedups; CI gates YCSB-C ≥ 5× and YCSB-A ≥ 3×.
+//! hot-vs-tree speedups. CI checks only that the bench runs and emits
+//! every id (`scripts/ci_bench_gate.sh`); no speedup floor is gated.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fb_workload::{Op, YcsbConfig, YcsbGen};

@@ -2,9 +2,9 @@
 //! choice and chunk size, point-edit cost (copy-on-write splice vs. full
 //! rebuild), and diff cost.
 //!
-//! These back the design choices DESIGN.md calls out: the cyclic
-//! polynomial leaf pattern, the cheap cid-based index pattern P′ (index
-//! levels rebuild at metadata cost), and the 4 KB default chunk size.
+//! These back three design choices: the cyclic polynomial leaf
+//! pattern, the cheap cid-based index pattern P′ (index levels rebuild
+//! at metadata cost), and the 4 KB default chunk size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fb_bench::random_bytes;

@@ -107,3 +107,36 @@ fn ycsb_per_worker_generators_tolerate_empty_slices() {
     db.flush_hot().expect("drain");
     assert_eq!(report.total_ops, (WORKERS * OPS) as u64);
 }
+
+/// The measured window covers every worker's whole loop: `elapsed_ns`
+/// can never be shorter than the busiest worker's summed op latencies,
+/// however the threads are scheduled around the start barrier.
+#[test]
+fn window_covers_every_worker_loop() {
+    const WORKERS: usize = 3;
+    const OPS: usize = 20;
+
+    let busy_ns: Vec<AtomicU64> = (0..WORKERS).map(|_| AtomicU64::new(0)).collect();
+    let report = run_closed_loop_with(
+        WORKERS,
+        OPS,
+        |_| (),
+        |(), w, _i| {
+            let t0 = std::time::Instant::now();
+            std::thread::sleep(std::time::Duration::from_micros(100 * (w as u64 + 1)));
+            busy_ns[w].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        },
+    );
+
+    let busiest = busy_ns
+        .iter()
+        .map(|b| b.load(Ordering::Relaxed))
+        .max()
+        .expect("workers");
+    assert_eq!(report.total_ops, (WORKERS * OPS) as u64);
+    assert!(
+        report.elapsed_ns >= busiest,
+        "window {} ns shorter than the busiest worker's {busiest} ns of ops",
+        report.elapsed_ns
+    );
+}

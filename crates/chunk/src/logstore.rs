@@ -334,6 +334,49 @@ fn fx64(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
+/// Writes a snapshot file through a fixed-size buffer and appends the
+/// [`fx64`] checksum of everything written. The hasher is fed only runs
+/// whose length is a multiple of 8 until the last one, and `FxHasher`
+/// folds whole 8-byte words before any tail, so the streamed checksum
+/// equals `fx64` of the whole body.
+struct SnapWriter {
+    file: File,
+    buf: Vec<u8>,
+    hash: forkbase_crypto::fx::FxHasher,
+}
+
+impl SnapWriter {
+    const FLUSH_AT: usize = 64 << 10;
+
+    fn new(file: File) -> SnapWriter {
+        SnapWriter {
+            file,
+            buf: Vec::with_capacity(Self::FLUSH_AT + 64),
+            hash: Default::default(),
+        }
+    }
+
+    fn put(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.buf.extend_from_slice(bytes);
+        if self.buf.len() >= Self::FLUSH_AT {
+            let n = self.buf.len() & !7;
+            self.hash.write(&self.buf[..n]);
+            self.file.write_all(&self.buf[..n])?;
+            self.buf.drain(..n);
+        }
+        Ok(())
+    }
+
+    /// Write the tail and the checksum, then make the file durable.
+    fn finish(mut self) -> io::Result<()> {
+        self.hash.write(&self.buf);
+        let check = self.hash.finish();
+        self.buf.extend_from_slice(&check.to_le_bytes());
+        self.file.write_all(&self.buf)?;
+        self.file.sync_data()
+    }
+}
+
 impl LogStore {
     /// Open (or create) a store in directory `path` with default sizing
     /// and the default [`Durability`].
@@ -970,32 +1013,28 @@ impl LogInner {
     /// data. Commit lock held.
     fn write_snapshot(&self, state: &mut CommitState) -> io::Result<()> {
         let (seg, off) = (state.synced_seg, state.synced_off);
-        let index = self.index.read();
-        let mut buf = Vec::with_capacity(28 + index.len() * 48);
-        buf.extend_from_slice(&SNAP_MAGIC.to_le_bytes());
-        buf.extend_from_slice(&SNAP_VERSION.to_le_bytes());
-        buf.extend_from_slice(&seg.to_le_bytes());
-        buf.extend_from_slice(&off.to_le_bytes());
-        let covered: Vec<(&Digest, &Loc)> = index
-            .iter()
-            .filter(|(_, l)| (l.seg, l.off) < (seg, off))
-            .collect();
-        buf.extend_from_slice(&(covered.len() as u64).to_le_bytes());
-        for (cid, loc) in covered {
-            buf.extend_from_slice(cid.as_bytes());
-            buf.extend_from_slice(&loc.seg.to_le_bytes());
-            buf.extend_from_slice(&loc.off.to_le_bytes());
-            buf.extend_from_slice(&loc.plen.to_le_bytes());
-        }
-        drop(index);
-        let check = fx64(&buf);
-        buf.extend_from_slice(&check.to_le_bytes());
-
         let tmp = self.dir.join("snapshot.tmp");
         {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&buf)?;
-            f.sync_data()?;
+            // Stream the index to the file through a small buffer: a
+            // snapshot of a large index never needs an index-sized
+            // allocation.
+            let index = self.index.read();
+            let covered = |l: &Loc| (l.seg, l.off) < (seg, off);
+            let count = index.values().filter(|l| covered(l)).count() as u64;
+            let mut out = SnapWriter::new(File::create(&tmp)?);
+            out.put(&SNAP_MAGIC.to_le_bytes())?;
+            out.put(&SNAP_VERSION.to_le_bytes())?;
+            out.put(&seg.to_le_bytes())?;
+            out.put(&off.to_le_bytes())?;
+            out.put(&count.to_le_bytes())?;
+            for (cid, loc) in index.iter().filter(|(_, l)| covered(l)) {
+                out.put(cid.as_bytes())?;
+                out.put(&loc.seg.to_le_bytes())?;
+                out.put(&loc.off.to_le_bytes())?;
+                out.put(&loc.plen.to_le_bytes())?;
+            }
+            drop(index);
+            out.finish()?;
         }
         std::fs::rename(&tmp, self.dir.join(SNAPSHOT_FILE))?;
         // Make the rename durable.
@@ -1669,6 +1708,33 @@ mod tests {
             30,
             "all chunks accounted for: {stats:?}"
         );
+        for cid in &cids {
+            assert!(store.get(cid).is_some());
+        }
+        drop(store);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn large_snapshot_streams_with_a_valid_checksum() {
+        // 3000 index entries make a 144 KB snapshot, so the streaming
+        // writer flushes mid-file; reopen only uses the snapshot if its
+        // one-shot checksum matches the streamed one.
+        let dir = temp_dir("snap-large");
+        let mut cids = Vec::new();
+        {
+            let store = LogStore::open_with(&dir, tiny_cfg(), Durability::Os).expect("open");
+            for i in 0..3000u32 {
+                let c = Chunk::new(ChunkType::Blob, i.to_le_bytes().to_vec());
+                cids.push(c.cid());
+                store.put(c);
+            }
+            store.snapshot().expect("snapshot");
+        }
+        let store = LogStore::open_with(&dir, tiny_cfg(), Durability::Os).expect("reopen");
+        let stats = store.reopen_stats();
+        assert!(stats.used_snapshot, "{stats:?}");
+        assert_eq!(stats.snapshot_chunks, 3000, "{stats:?}");
         for cid in &cids {
             assert!(store.get(cid).is_some());
         }

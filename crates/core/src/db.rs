@@ -72,8 +72,8 @@ impl Engine {
         Engine::with_store(Arc::new(MemStore::new()), ChunkerConfig::default())
     }
 
-    /// Instance over an arbitrary chunk store (persistent, partitioned,
-    /// replicated, …).
+    /// Instance over an arbitrary chunk store (persistent, cached,
+    /// cluster-routed, …).
     pub fn with_store(store: Arc<dyn ChunkStore>, cfg: ChunkerConfig) -> Engine {
         Engine {
             store,
@@ -1225,8 +1225,8 @@ impl ForkBase {
         Self::from_engine(Engine::in_memory(), hot)
     }
 
-    /// Instance over an arbitrary chunk store (persistent, partitioned,
-    /// replicated, …), hot tier off.
+    /// Instance over an arbitrary chunk store (persistent, cached,
+    /// cluster-routed, …), hot tier off.
     pub fn with_store(store: Arc<dyn ChunkStore>, cfg: ChunkerConfig) -> ForkBase {
         Self::from_engine(Engine::with_store(store, cfg), HotTierConfig::default())
     }

@@ -30,7 +30,7 @@ use crate::fobject::FObject;
 use forkbase_chunk::ChunkStore;
 use forkbase_crypto::fx::FxHashSet;
 use forkbase_crypto::Digest;
-use forkbase_pos::entry::decode_index_payload;
+use forkbase_pos::entry::IndexCursor;
 
 use crate::db::ForkBase;
 
@@ -77,9 +77,11 @@ fn mark_version(
             }
             let chunk = store.get(&cid).ok_or(FbError::VersionNotFound(cid))?;
             if chunk.ty().is_index() {
-                let (_, entries) = decode_index_payload(chunk.payload(), ty.is_sorted())
-                    .ok_or_else(|| FbError::Corrupt("bad index chunk".into()))?;
-                tree.extend(entries.iter().map(|e| e.cid));
+                let mut entries = IndexCursor::new(chunk.payload(), ty.is_sorted());
+                tree.extend(entries.by_ref().map(|e| e.cid));
+                if !entries.finished_clean() {
+                    return Err(FbError::Corrupt("bad index chunk".into()));
+                }
             }
         }
     }

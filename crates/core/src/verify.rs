@@ -12,7 +12,7 @@ use crate::fobject::FObject;
 use forkbase_chunk::ChunkStore;
 use forkbase_crypto::fx::FxHashSet;
 use forkbase_crypto::Digest;
-use forkbase_pos::entry::decode_index_payload;
+use forkbase_pos::entry::IndexCursor;
 
 /// Outcome of a verification pass.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -68,9 +68,11 @@ pub fn verify_object(store: &dyn ChunkStore, uid: Digest) -> Result<usize> {
         let chunk = fetch_verified(store, cid)?;
         verified += 1;
         if chunk.ty().is_index() {
-            let (_, entries) = decode_index_payload(chunk.payload(), ty.is_sorted())
-                .ok_or_else(|| FbError::Corrupt("bad index chunk".into()))?;
-            stack.extend(entries.iter().map(|e| e.cid));
+            let mut entries = IndexCursor::new(chunk.payload(), ty.is_sorted());
+            stack.extend(entries.by_ref().map(|e| e.cid));
+            if !entries.finished_clean() {
+                return Err(FbError::Corrupt("bad index chunk".into()));
+            }
         }
     }
     Ok(verified)

@@ -25,7 +25,7 @@
 //!   precede the rebuild point, so boundary decisions match a from-scratch
 //!   build exactly.
 
-use crate::entry::{encode_index_payload, IndexEntry};
+use crate::entry::{encode_index_payload, IndexCursor, IndexEntry};
 use crate::leaf::{encode_item, Item, RawItem};
 use crate::types::TreeType;
 use bytes::Bytes;
@@ -372,31 +372,44 @@ fn collect_old_groups(
     let mut levels: OldGroups = Vec::new();
     let mut stack = vec![(root, chunk)];
     while let Some((cid, chunk)) = stack.pop() {
-        let (level, children) =
-            crate::entry::decode_index_payload_shared(chunk.payload(), ty.is_sorted())?;
-        let lvl = level as usize;
+        let payload = chunk.payload();
+        let mut entries = IndexCursor::new(payload, ty.is_sorted());
+        let level = entries.level();
+        let mut children = Vec::new();
+        let mut count = 0u64;
+        let mut last = None;
+        for e in entries.by_ref() {
+            children.push(e.cid);
+            count += e.count;
+            last = Some(e);
+        }
+        if !entries.finished_clean() {
+            return None;
+        }
+        let last = last?;
+        let lvl = usize::try_from(level).ok().filter(|&l| l > 0)?;
         if levels.len() < lvl {
             levels.resize_with(lvl, Default::default);
         }
-        let last = children.last()?;
         let closed = cfg.index_boundary(&last.cid) || children.len() >= max_fanout;
         let entry = IndexEntry {
             cid,
-            count: children.iter().map(|e| e.count).sum(),
-            key: last.key.clone(),
+            count,
+            key: last.share(payload).key,
         };
         if level > 1 {
             for c in &children {
-                let child = store.get(&c.cid)?;
-                stack.push((c.cid, child));
+                stack.push((*c, store.get(c)?));
             }
         }
-        let first = children.first()?.cid;
-        levels[lvl - 1].entry(first).or_default().push(OldGroup {
-            children: children.into_iter().map(|e| e.cid).collect(),
-            entry,
-            closed,
-        });
+        levels[lvl - 1]
+            .entry(children[0])
+            .or_default()
+            .push(OldGroup {
+                children,
+                entry,
+                closed,
+            });
     }
     Some(levels)
 }
@@ -526,6 +539,7 @@ pub fn build_items(
             } else {
                 (0, 0)
             },
+            value: (buf.len() - item.value.len(), buf.len()),
         });
     }
     let src = Bytes::from(buf);

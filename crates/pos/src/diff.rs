@@ -6,11 +6,11 @@
 //! edited region — are skipped by cid equality.
 
 use crate::entry::IndexEntry;
-use crate::leaf::{decode_items, Item};
+use crate::leaf::{RawItem, RawItemCursor};
 use crate::scan::scan_tree;
 use crate::types::TreeType;
 use bytes::Bytes;
-use forkbase_chunk::ChunkStore;
+use forkbase_chunk::{Chunk, ChunkStore};
 use forkbase_crypto::Digest;
 
 /// One differing key between two sorted trees.
@@ -39,6 +39,11 @@ pub fn sorted_diff(
     let l = scan_tree(store, left, ty)?.leaf_entries;
     let r = scan_tree(store, right, ty)?.leaf_entries;
 
+    let entry = |key: &[u8], left: Option<&[u8]>, right: Option<&[u8]>| DiffEntry {
+        key: Bytes::copy_from_slice(key),
+        left: left.map(Bytes::copy_from_slice),
+        right: right.map(Bytes::copy_from_slice),
+    };
     let mut out = Vec::new();
     let mut lc = LeafCursor::new(store, ty, &l);
     let mut rc = LeafCursor::new(store, ty, &r);
@@ -58,46 +63,26 @@ pub fn sorted_diff(
         }
         match (lc.peek()?, rc.peek()?) {
             (None, None) => break,
-            (Some(li), None) => {
-                out.push(DiffEntry {
-                    key: li.key.clone(),
-                    left: Some(li.value.clone()),
-                    right: None,
-                });
+            (Some((lk, lv)), None) => {
+                out.push(entry(lk, Some(lv), None));
                 lc.advance();
             }
-            (None, Some(ri)) => {
-                out.push(DiffEntry {
-                    key: ri.key.clone(),
-                    left: None,
-                    right: Some(ri.value.clone()),
-                });
+            (None, Some((rk, rv))) => {
+                out.push(entry(rk, None, Some(rv)));
                 rc.advance();
             }
-            (Some(li), Some(ri)) => match li.key.cmp(&ri.key) {
+            (Some((lk, lv)), Some((rk, rv))) => match lk.cmp(rk) {
                 std::cmp::Ordering::Less => {
-                    out.push(DiffEntry {
-                        key: li.key.clone(),
-                        left: Some(li.value.clone()),
-                        right: None,
-                    });
+                    out.push(entry(lk, Some(lv), None));
                     lc.advance();
                 }
                 std::cmp::Ordering::Greater => {
-                    out.push(DiffEntry {
-                        key: ri.key.clone(),
-                        left: None,
-                        right: Some(ri.value.clone()),
-                    });
+                    out.push(entry(rk, None, Some(rv)));
                     rc.advance();
                 }
                 std::cmp::Ordering::Equal => {
-                    if li.value != ri.value {
-                        out.push(DiffEntry {
-                            key: li.key.clone(),
-                            left: Some(li.value.clone()),
-                            right: Some(ri.value.clone()),
-                        });
+                    if lv != rv {
+                        out.push(entry(lk, Some(lv), Some(rv)));
                     }
                     lc.advance();
                     rc.advance();
@@ -108,15 +93,15 @@ pub fn sorted_diff(
     Some(out)
 }
 
-/// Item-level cursor over a leaf entry list, decoding lazily.
+/// Item-level cursor over a leaf entry list, walking one leaf at a time
+/// in place.
 struct LeafCursor<'a, 's> {
     store: &'s dyn ChunkStore,
     ty: TreeType,
     leaves: &'a [IndexEntry],
     leaf_idx: usize,
-    items: Vec<Item>,
-    item_idx: usize,
-    loaded: bool,
+    /// The loaded leaf and its current element (`None` once exhausted).
+    leaf: Option<(Chunk, Option<RawItem>)>,
 }
 
 impl<'a, 's> LeafCursor<'a, 's> {
@@ -126,14 +111,12 @@ impl<'a, 's> LeafCursor<'a, 's> {
             ty,
             leaves,
             leaf_idx: 0,
-            items: Vec::new(),
-            item_idx: 0,
-            loaded: false,
+            leaf: None,
         }
     }
 
     fn at_leaf_start(&self) -> bool {
-        !self.loaded && self.leaf_idx < self.leaves.len()
+        self.leaf.is_none() && self.leaf_idx < self.leaves.len()
     }
 
     fn current_cid(&self) -> Option<Digest> {
@@ -148,39 +131,42 @@ impl<'a, 's> LeafCursor<'a, 's> {
     /// If the current leaf is exhausted, move to the next leaf *without*
     /// loading it, so the caller can apply the cid-equality skip first.
     fn settle(&mut self) {
-        if self.loaded && self.item_idx >= self.items.len() {
-            self.loaded = false;
-            self.items.clear();
+        if matches!(self.leaf, Some((_, None))) {
+            self.leaf = None;
             self.leaf_idx += 1;
         }
     }
 
-    /// Current item, loading the leaf if necessary. Outer `Option` is a
-    /// storage error; inner `None` means exhausted.
+    /// Current `(key, value)`, loading the leaf if necessary. Outer
+    /// `Option` is a storage error (missing chunk or a leaf that does not
+    /// decode cleanly); inner `None` means exhausted.
     #[allow(clippy::option_option)]
-    fn peek(&mut self) -> Option<Option<&Item>> {
+    fn peek(&mut self) -> Option<Option<(&[u8], &[u8])>> {
         loop {
-            if self.loaded {
-                if self.item_idx < self.items.len() {
-                    // Borrow-checker friendly re-index.
-                    return Some(self.items.get(self.item_idx));
-                }
-                self.loaded = false;
-                self.leaf_idx += 1;
-                continue;
+            self.settle();
+            if self.leaf.is_some() {
+                break;
             }
             if self.leaf_idx >= self.leaves.len() {
                 return Some(None);
             }
             let chunk = self.store.get(&self.leaves[self.leaf_idx].cid)?;
-            self.items = decode_items(self.ty, chunk.payload())?;
-            self.item_idx = 0;
-            self.loaded = true;
+            let mut items = RawItemCursor::new(self.ty, chunk.payload());
+            let first = items.next();
+            items.finish()?;
+            self.leaf = Some((chunk, first));
         }
+        let Some((chunk, Some(raw))) = &self.leaf else {
+            unreachable!("settle() drops exhausted leaves");
+        };
+        let payload = chunk.payload();
+        Some(Some((raw.key_in(payload), raw.value_in(payload))))
     }
 
     fn advance(&mut self) {
-        self.item_idx += 1;
+        if let Some((chunk, item)) = &mut self.leaf {
+            *item = item.and_then(|r| RawItemCursor::at(self.ty, chunk.payload(), r.span.1).next());
+        }
     }
 }
 
@@ -262,6 +248,7 @@ fn read_concat(store: &dyn ChunkStore, leaves: &[IndexEntry]) -> Option<Vec<u8>>
 mod tests {
     use super::*;
     use crate::builder::{build_blob, build_items};
+    use crate::leaf::Item;
     use forkbase_chunk::MemStore;
     use forkbase_crypto::ChunkerConfig;
 

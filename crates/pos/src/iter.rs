@@ -2,38 +2,44 @@
 //!
 //! The iterator fetches one leaf chunk at a time through the store, so
 //! "the actual data is fetched gradually on demand" (§3.4) and any caching
-//! layer underneath sees chunk-granular accesses.
+//! layer underneath sees chunk-granular accesses. Each node is walked in
+//! place with its cursor; only the items handed out are copied.
 
-use crate::entry::{decode_index_payload, IndexEntry};
-use crate::leaf::{decode_items, Item};
+use crate::entry::IndexCursor;
+use crate::leaf::{Item, RawItemCursor};
 use crate::types::TreeType;
-use forkbase_chunk::ChunkStore;
+use forkbase_chunk::{Chunk, ChunkStore};
 use forkbase_crypto::Digest;
 
-/// Depth-first iterator over all items of a tree, in order.
+/// Depth-first iterator over all items of an item tree (List/Set/Map),
+/// in order.
 pub struct ItemIter<'s> {
     store: &'s dyn ChunkStore,
     ty: TreeType,
-    /// Index-node frames: (entries, next child index).
-    stack: Vec<(Vec<IndexEntry>, usize)>,
-    leaf_items: std::vec::IntoIter<Item>,
+    /// Index-node frames: (index chunk, byte offset of its next entry).
+    stack: Vec<(Chunk, usize)>,
+    /// The current leaf and the byte offset of its next element.
+    leaf: Option<(Chunk, usize)>,
 }
 
 impl<'s> ItemIter<'s> {
-    /// Iterate the whole tree from its first element.
-    pub fn new(store: &'s dyn ChunkStore, root: Digest, ty: TreeType) -> Option<Self> {
-        let chunk = store.get(&root)?;
-        let mut it = ItemIter {
+    fn empty(store: &'s dyn ChunkStore, ty: TreeType) -> Self {
+        ItemIter {
             store,
             ty,
             stack: Vec::new(),
-            leaf_items: Vec::new().into_iter(),
-        };
+            leaf: None,
+        }
+    }
+
+    /// Iterate the whole tree from its first element.
+    pub fn new(store: &'s dyn ChunkStore, root: Digest, ty: TreeType) -> Option<Self> {
+        let mut it = ItemIter::empty(store, ty);
+        let (chunk, start) = it.load(&root)?;
         if chunk.ty().is_index() {
-            let (_, entries) = decode_index_payload(chunk.payload(), ty.is_sorted())?;
-            it.stack.push((entries, 0));
+            it.stack.push((chunk, start));
         } else {
-            it.leaf_items = decode_items(ty, chunk.payload())?.into_iter();
+            it.leaf = Some((chunk, start));
         }
         Some(it)
     }
@@ -42,64 +48,67 @@ impl<'s> ItemIter<'s> {
     /// `item.key >= key`.
     pub fn seek(store: &'s dyn ChunkStore, root: Digest, ty: TreeType, key: &[u8]) -> Option<Self> {
         debug_assert!(ty.is_sorted());
-        let mut it = ItemIter {
-            store,
-            ty,
-            stack: Vec::new(),
-            leaf_items: Vec::new().into_iter(),
-        };
+        let mut it = ItemIter::empty(store, ty);
         let mut cid = root;
         loop {
-            let chunk = store.get(&cid)?;
+            let (chunk, start) = it.load(&cid)?;
+            let payload = chunk.payload();
             if chunk.ty().is_index() {
-                let (_, entries) = decode_index_payload(chunk.payload(), true)?;
-                let idx = entries.partition_point(|e| e.key.as_ref() < key);
-                if idx == entries.len() {
+                let mut entries = IndexCursor::at(payload, true, start);
+                let Some(child) = entries.find(|e| e.key >= key) else {
                     // Key is beyond this subtree; iterator is exhausted.
                     return Some(it);
-                }
-                cid = entries[idx].cid;
-                it.stack.push((entries, idx + 1));
+                };
+                cid = child.cid;
+                let next = entries.offset();
+                it.stack.push((chunk, next));
             } else {
-                let items = decode_items(ty, chunk.payload())?;
-                let skip = items.partition_point(|i| i.key.as_ref() < key);
-                let mut iter = items.into_iter();
-                for _ in 0..skip {
-                    iter.next();
-                }
-                it.leaf_items = iter;
+                let from = RawItemCursor::new(ty, payload)
+                    .find(|r| r.key_in(payload) >= key)
+                    .map_or(payload.len(), |r| r.span.0);
+                it.leaf = Some((chunk, from));
                 return Some(it);
             }
         }
     }
 
+    /// Fetch node `cid` and check that it decodes cleanly to its end, so
+    /// iteration never yields part of a corrupt node. Returns the chunk
+    /// and the byte offset of its first entry or element.
+    fn load(&self, cid: &Digest) -> Option<(Chunk, usize)> {
+        let chunk = self.store.get(cid)?;
+        let start = if chunk.ty().is_index() {
+            let mut entries = IndexCursor::new(chunk.payload(), self.ty.is_sorted());
+            let start = entries.offset();
+            entries.finish()?;
+            start
+        } else {
+            RawItemCursor::new(self.ty, chunk.payload()).finish()?;
+            0
+        };
+        Some((chunk, start))
+    }
+
     /// Advance to the next leaf; returns false when exhausted or on a
-    /// storage error (missing chunk).
+    /// storage error (missing or corrupt chunk).
     fn advance_leaf(&mut self) -> bool {
         loop {
-            let Some((entries, idx)) = self.stack.last_mut() else {
+            let Some((chunk, next)) = self.stack.last_mut() else {
                 return false;
             };
-            if *idx >= entries.len() {
+            let mut entries = IndexCursor::at(chunk.payload(), self.ty.is_sorted(), *next);
+            let Some(child) = entries.next().map(|e| e.cid) else {
                 self.stack.pop();
                 continue;
-            }
-            let cid = entries[*idx].cid;
-            *idx += 1;
-            let Some(chunk) = self.store.get(&cid) else {
+            };
+            *next = entries.offset();
+            let Some((chunk, start)) = self.load(&child) else {
                 return false;
             };
             if chunk.ty().is_index() {
-                let Some((_, child)) = decode_index_payload(chunk.payload(), self.ty.is_sorted())
-                else {
-                    return false;
-                };
-                self.stack.push((child, 0));
+                self.stack.push((chunk, start));
             } else {
-                let Some(items) = decode_items(self.ty, chunk.payload()) else {
-                    return false;
-                };
-                self.leaf_items = items.into_iter();
+                self.leaf = Some((chunk, start));
                 return true;
             }
         }
@@ -111,8 +120,12 @@ impl Iterator for ItemIter<'_> {
 
     fn next(&mut self) -> Option<Item> {
         loop {
-            if let Some(item) = self.leaf_items.next() {
-                return Some(item);
+            if let Some((chunk, next)) = &mut self.leaf {
+                let payload = chunk.payload();
+                if let Some(raw) = RawItemCursor::at(self.ty, payload, *next).next() {
+                    *next = raw.span.1;
+                    return Some(raw.to_item(payload));
+                }
             }
             if !self.advance_leaf() {
                 return None;

@@ -7,6 +7,12 @@
 //!
 //! Elements never span chunks (§4.3.2): the builder checks for a boundary
 //! only after a whole element has been fed.
+//!
+//! Item leaves (List/Set/Map) have exactly one decoder, [`RawItemCursor`]:
+//! it walks a payload in place and yields [`RawItem`] byte ranges. Point
+//! reads, iterators, diffs and the update splice all go through it and
+//! copy out only the elements they return. Blob leaves need no decoder —
+//! their payload is the bytes.
 
 use crate::types::TreeType;
 use bytes::Bytes;
@@ -15,8 +21,8 @@ use forkbase_chunk::codec::{get_bytes, put_bytes};
 /// One element of a chunkable object.
 ///
 /// The `key`/`value` roles per type: List uses only `value`; Set uses only
-/// `key`; Map uses both; Blob elements are handled as raw bytes and never
-/// materialized as `Item`s on the fast path.
+/// `key`; Map uses both; Blob elements are raw bytes and are never
+/// materialized as `Item`s.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Item {
     /// Ordering key (Set, Map).
@@ -75,97 +81,6 @@ pub fn encode_item(ty: TreeType, item: &Item, out: &mut Vec<u8>) {
     }
 }
 
-/// Decode all items of a leaf payload. For `Blob` this produces one item
-/// per byte — use the raw payload instead on hot paths.
-pub fn decode_items(ty: TreeType, payload: &[u8]) -> Option<Vec<Item>> {
-    let mut items = Vec::new();
-    match ty {
-        TreeType::Blob => {
-            items.reserve(payload.len());
-            for &b in payload {
-                items.push(Item {
-                    key: Bytes::new(),
-                    value: Bytes::copy_from_slice(&[b]),
-                });
-            }
-        }
-        TreeType::List => {
-            let mut pos = 0;
-            while pos < payload.len() {
-                let v = get_bytes(payload, &mut pos)?;
-                items.push(Item::list(Bytes::copy_from_slice(v)));
-            }
-        }
-        TreeType::Set => {
-            let mut pos = 0;
-            while pos < payload.len() {
-                let k = get_bytes(payload, &mut pos)?;
-                items.push(Item::set(Bytes::copy_from_slice(k)));
-            }
-        }
-        TreeType::Map => {
-            let mut pos = 0;
-            while pos < payload.len() {
-                let k = Bytes::copy_from_slice(get_bytes(payload, &mut pos)?);
-                let v = Bytes::copy_from_slice(get_bytes(payload, &mut pos)?);
-                items.push(Item { key: k, value: v });
-            }
-        }
-    }
-    Some(items)
-}
-
-/// Decode all items of a leaf payload, borrowing key/value bytes from the
-/// shared `payload` buffer (no per-item allocation). The update hot path
-/// uses this; results are equal to [`decode_items`].
-pub fn decode_items_shared(ty: TreeType, payload: &Bytes) -> Option<Vec<Item>> {
-    let buf: &[u8] = payload;
-    let mut items = Vec::new();
-    // `get_bytes` returns a subslice of `buf`; re-derive its offsets to
-    // take zero-copy `Bytes` slices of the shared buffer.
-    let range_of = |sub: &[u8]| -> (usize, usize) {
-        let start = sub.as_ptr() as usize - buf.as_ptr() as usize;
-        (start, start + sub.len())
-    };
-    match ty {
-        TreeType::Blob => {
-            items.reserve(buf.len());
-            for i in 0..buf.len() {
-                items.push(Item {
-                    key: Bytes::new(),
-                    value: payload.slice(i..i + 1),
-                });
-            }
-        }
-        TreeType::List => {
-            let mut pos = 0;
-            while pos < buf.len() {
-                let (s, e) = range_of(get_bytes(buf, &mut pos)?);
-                items.push(Item::list(payload.slice(s..e)));
-            }
-        }
-        TreeType::Set => {
-            let mut pos = 0;
-            while pos < buf.len() {
-                let (s, e) = range_of(get_bytes(buf, &mut pos)?);
-                items.push(Item::set(payload.slice(s..e)));
-            }
-        }
-        TreeType::Map => {
-            let mut pos = 0;
-            while pos < buf.len() {
-                let (ks, ke) = range_of(get_bytes(buf, &mut pos)?);
-                let (vs, ve) = range_of(get_bytes(buf, &mut pos)?);
-                items.push(Item {
-                    key: payload.slice(ks..ke),
-                    value: payload.slice(vs..ve),
-                });
-            }
-        }
-    }
-    Some(items)
-}
-
 /// One element of a leaf payload as byte ranges into that payload —
 /// nothing is materialized.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -174,13 +89,42 @@ pub struct RawItem {
     pub span: (usize, usize),
     /// The key bytes within the payload (empty range for List).
     pub key: (usize, usize),
+    /// The value bytes within the payload (empty range for Set).
+    pub value: (usize, usize),
 }
 
-/// Streaming decoder over an item-leaf payload (List/Set/Map) yielding
-/// byte spans instead of materialized [`Item`]s. The update hot path
-/// walks old leaves with this: untouched elements are compared by key
-/// slice and copied verbatim, with no per-item allocation or `Bytes`
-/// refcount traffic (cf. [`decode_items_shared`]).
+impl RawItem {
+    /// The key bytes, borrowed from `payload` (the leaf this item was read
+    /// from).
+    pub(crate) fn key_in<'a>(&self, payload: &'a [u8]) -> &'a [u8] {
+        &payload[self.key.0..self.key.1]
+    }
+
+    /// The value bytes, borrowed from `payload`.
+    pub(crate) fn value_in<'a>(&self, payload: &'a [u8]) -> &'a [u8] {
+        &payload[self.value.0..self.value.1]
+    }
+
+    /// Copy this element out of `payload` as an owned [`Item`]. The copy
+    /// shares nothing with the leaf buffer, so holding it never pins a
+    /// chunk.
+    pub(crate) fn to_item(self, payload: &[u8]) -> Item {
+        Item {
+            key: Bytes::copy_from_slice(self.key_in(payload)),
+            value: Bytes::copy_from_slice(self.value_in(payload)),
+        }
+    }
+}
+
+/// The one decoder of item-leaf payloads (List/Set/Map): a streaming
+/// cursor yielding byte spans instead of materialized [`Item`]s. Reads,
+/// scans, diffs and updates all walk leaves with it; only the elements a
+/// caller returns are copied out (`RawItem::to_item`).
+///
+/// A `None` from [`next`](Iterator::next) means either the end of the
+/// payload or truncated/corrupt data — check
+/// [`finished_clean`](Self::finished_clean).
+#[derive(Clone, Debug)]
 pub struct RawItemCursor<'a> {
     ty: TreeType,
     data: &'a [u8],
@@ -192,88 +136,92 @@ impl<'a> RawItemCursor<'a> {
     /// Walk `data`, a leaf payload of type `ty` (not Blob — blob leaves
     /// are raw bytes).
     pub fn new(ty: TreeType, data: &'a [u8]) -> RawItemCursor<'a> {
+        RawItemCursor::at(ty, data, 0)
+    }
+
+    /// Resume a walk of `data` at `offset`, an element boundary such as
+    /// a [`RawItem::span`] end.
+    pub(crate) fn at(ty: TreeType, data: &'a [u8], offset: usize) -> RawItemCursor<'a> {
         debug_assert!(ty != TreeType::Blob, "blob leaves are raw bytes");
         RawItemCursor {
             ty,
             data,
-            pos: 0,
+            pos: offset,
             corrupt: false,
         }
-    }
-
-    /// Next element, or `None` at the end of the payload. A `None` can
-    /// also mean truncated/corrupt data — check
-    /// [`finished_clean`](Self::finished_clean).
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Option<RawItem> {
-        if self.pos >= self.data.len() || self.corrupt {
-            return None;
-        }
-        let start = self.pos;
-        let mut pos = self.pos;
-        let Some(first) = get_bytes(self.data, &mut pos) else {
-            self.corrupt = true;
-            return None;
-        };
-        let fs = first.as_ptr() as usize - self.data.as_ptr() as usize;
-        let key = match self.ty {
-            TreeType::List => (0, 0),
-            _ => (fs, fs + first.len()),
-        };
-        if self.ty == TreeType::Map && get_bytes(self.data, &mut pos).is_none() {
-            self.corrupt = true;
-            return None;
-        }
-        self.pos = pos;
-        Some(RawItem {
-            span: (start, pos),
-            key,
-        })
     }
 
     /// True once the whole payload has decoded without error.
     pub fn finished_clean(&self) -> bool {
         !self.corrupt && self.pos == self.data.len()
     }
+
+    /// Walk the rest of the payload: the number of remaining elements and
+    /// the last of them, or `None` unless it decodes cleanly to its end.
+    pub(crate) fn finish(&mut self) -> Option<(u64, Option<RawItem>)> {
+        let (n, last) = self
+            .by_ref()
+            .fold((0u64, None), |(n, _), r| (n + 1, Some(r)));
+        self.finished_clean().then_some((n, last))
+    }
 }
 
-/// Number of elements in a leaf payload without materializing them.
-pub fn count_items(ty: TreeType, payload: &[u8]) -> Option<u64> {
-    match ty {
-        TreeType::Blob => Some(payload.len() as u64),
-        _ => {
-            let mut n = 0u64;
-            let mut pos = 0;
-            while pos < payload.len() {
-                get_bytes(payload, &mut pos)?;
-                if ty == TreeType::Map {
-                    get_bytes(payload, &mut pos)?;
-                }
-                n += 1;
+/// The byte range of the length-prefixed field at `*pos`, advancing it.
+fn field(data: &[u8], pos: &mut usize) -> Option<(usize, usize)> {
+    let len = get_bytes(data, pos)?.len();
+    Some((*pos - len, *pos))
+}
+
+impl Iterator for RawItemCursor<'_> {
+    type Item = RawItem;
+
+    fn next(&mut self) -> Option<RawItem> {
+        if self.pos >= self.data.len() || self.corrupt {
+            return None;
+        }
+        let start = self.pos;
+        let mut pos = self.pos;
+        let Some(first) = field(self.data, &mut pos) else {
+            self.corrupt = true;
+            return None;
+        };
+        let (key, value) = match self.ty {
+            TreeType::Map => {
+                let Some(value) = field(self.data, &mut pos) else {
+                    self.corrupt = true;
+                    return None;
+                };
+                (first, value)
             }
-            Some(n)
-        }
+            TreeType::Set => (first, (pos, pos)),
+            TreeType::List | TreeType::Blob => ((start, start), first),
+        };
+        self.pos = pos;
+        Some(RawItem {
+            span: (start, pos),
+            key,
+            value,
+        })
     }
-}
-
-/// The largest (= last) key of a sorted leaf payload, if any.
-pub fn last_key(ty: TreeType, payload: &[u8]) -> Option<Bytes> {
-    debug_assert!(ty.is_sorted());
-    let mut pos = 0;
-    let mut last: Option<&[u8]> = None;
-    while pos < payload.len() {
-        let k = get_bytes(payload, &mut pos)?;
-        if ty == TreeType::Map {
-            get_bytes(payload, &mut pos)?;
-        }
-        last = Some(k);
-    }
-    last.map(Bytes::copy_from_slice)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn encode(ty: TreeType, items: &[Item]) -> Vec<u8> {
+        let mut payload = Vec::new();
+        for i in items {
+            encode_item(ty, i, &mut payload);
+        }
+        payload
+    }
+
+    fn decode(ty: TreeType, payload: &[u8]) -> Option<Vec<Item>> {
+        let mut cursor = RawItemCursor::new(ty, payload);
+        let items = cursor.by_ref().map(|r| r.to_item(payload)).collect();
+        cursor.finished_clean().then_some(items)
+    }
 
     #[test]
     fn map_round_trip() {
@@ -282,13 +230,13 @@ mod tests {
             Item::map("b", ""),
             Item::map("cc", "333"),
         ];
-        let mut payload = Vec::new();
-        for i in &items {
-            encode_item(TreeType::Map, i, &mut payload);
-        }
-        assert_eq!(decode_items(TreeType::Map, &payload), Some(items.clone()));
-        assert_eq!(count_items(TreeType::Map, &payload), Some(3));
-        assert_eq!(last_key(TreeType::Map, &payload), Some(Bytes::from("cc")));
+        let payload = encode(TreeType::Map, &items);
+        assert_eq!(decode(TreeType::Map, &payload), Some(items.clone()));
+        let (n, last) = RawItemCursor::new(TreeType::Map, &payload)
+            .finish()
+            .expect("clean");
+        assert_eq!(n, 3);
+        assert_eq!(last.expect("non-empty").key_in(&payload), b"cc");
         let total: usize = items.iter().map(|i| i.encoded_len(TreeType::Map)).sum();
         assert_eq!(total, payload.len());
     }
@@ -296,73 +244,72 @@ mod tests {
     #[test]
     fn list_round_trip() {
         let items = vec![Item::list("one"), Item::list(""), Item::list("three")];
-        let mut payload = Vec::new();
-        for i in &items {
-            encode_item(TreeType::List, i, &mut payload);
-        }
-        assert_eq!(decode_items(TreeType::List, &payload), Some(items));
-        assert_eq!(count_items(TreeType::List, &payload), Some(3));
+        let payload = encode(TreeType::List, &items);
+        assert_eq!(decode(TreeType::List, &payload), Some(items));
+        let (n, _) = RawItemCursor::new(TreeType::List, &payload)
+            .finish()
+            .expect("clean");
+        assert_eq!(n, 3);
     }
 
     #[test]
     fn set_round_trip() {
         let items = vec![Item::set("alpha"), Item::set("beta")];
-        let mut payload = Vec::new();
-        for i in &items {
-            encode_item(TreeType::Set, i, &mut payload);
-        }
-        assert_eq!(decode_items(TreeType::Set, &payload), Some(items));
-        assert_eq!(last_key(TreeType::Set, &payload), Some(Bytes::from("beta")));
+        let payload = encode(TreeType::Set, &items);
+        assert_eq!(decode(TreeType::Set, &payload), Some(items));
+        let (_, last) = RawItemCursor::new(TreeType::Set, &payload)
+            .finish()
+            .expect("clean");
+        assert_eq!(last.expect("non-empty").key_in(&payload), b"beta");
     }
 
     #[test]
     fn blob_counts_bytes() {
-        assert_eq!(count_items(TreeType::Blob, b"hello"), Some(5));
-        assert_eq!(count_items(TreeType::Blob, b""), Some(0));
+        // A Blob element is one byte: the payload is the raw bytes, so a
+        // leaf's element count is its payload length.
+        let item = Item::list("hello");
+        assert_eq!(item.encoded_len(TreeType::Blob), 5);
+        assert_eq!(encode(TreeType::Blob, &[item]), b"hello");
+        assert!(encode(TreeType::Blob, &[Item::list("")]).is_empty());
     }
 
     #[test]
     fn corrupt_payload_rejected() {
         // Length prefix claims more bytes than present.
         let payload = [5u8, b'a', b'b'];
-        assert_eq!(decode_items(TreeType::List, &payload), None);
-        assert_eq!(count_items(TreeType::List, &payload), None);
+        assert_eq!(decode(TreeType::List, &payload), None);
+        assert_eq!(RawItemCursor::new(TreeType::List, &payload).finish(), None);
     }
 
     #[test]
     fn raw_cursor_matches_decode() {
+        let items = [
+            Item::map("k-one", "value one"),
+            Item::map("", ""),
+            Item::map("k-three", vec![9u8; 300]),
+        ];
         for ty in [TreeType::List, TreeType::Set, TreeType::Map] {
-            let items = vec![
-                Item {
-                    key: Bytes::from("k-one"),
-                    value: Bytes::from("value one"),
-                },
-                Item {
-                    key: Bytes::from(""),
-                    value: Bytes::from(""),
-                },
-                Item {
-                    key: Bytes::from("k-three"),
-                    value: Bytes::from(vec![9u8; 300]),
-                },
-            ];
-            let mut payload = Vec::new();
-            for i in &items {
-                encode_item(ty, i, &mut payload);
-            }
-            let decoded = decode_items(ty, &payload).expect("decode");
+            // Drop the field each type does not store.
+            let items: Vec<Item> = items
+                .iter()
+                .map(|i| match ty {
+                    TreeType::List => Item::list(i.value.clone()),
+                    TreeType::Set => Item::set(i.key.clone()),
+                    _ => i.clone(),
+                })
+                .collect();
+            let payload = encode(ty, &items);
             let mut cursor = RawItemCursor::new(ty, &payload);
             let mut at = 0usize;
             let mut got = 0usize;
-            while let Some(raw) = cursor.next() {
+            for raw in cursor.by_ref() {
                 assert_eq!(raw.span.0, at, "spans tile the payload");
-                let key = &payload[raw.key.0..raw.key.1];
-                if ty != TreeType::List {
-                    assert_eq!(key, decoded[got].key.as_ref());
-                }
-                // Re-encoding the decoded item reproduces the span bytes.
+                assert_eq!(raw.key_in(&payload), items[got].key.as_ref());
+                assert_eq!(raw.value_in(&payload), items[got].value.as_ref());
+                assert_eq!(raw.to_item(&payload), items[got]);
+                // Re-encoding the item reproduces the span bytes.
                 let mut re = Vec::new();
-                encode_item(ty, &decoded[got], &mut re);
+                encode_item(ty, &items[got], &mut re);
                 assert_eq!(&payload[raw.span.0..raw.span.1], &re[..]);
                 at = raw.span.1;
                 got += 1;
@@ -378,5 +325,58 @@ mod tests {
         let mut cursor = RawItemCursor::new(TreeType::List, &payload);
         assert!(cursor.next().is_none());
         assert!(!cursor.finished_clean());
+    }
+
+    #[test]
+    fn raw_cursor_resumes_at_offset() {
+        let items = vec![
+            Item::map("a", "1"),
+            Item::map("b", "2"),
+            Item::map("c", "3"),
+        ];
+        let payload = encode(TreeType::Map, &items);
+        let first = RawItemCursor::new(TreeType::Map, &payload)
+            .next()
+            .expect("non-empty");
+        let rest = RawItemCursor::at(TreeType::Map, &payload, first.span.1);
+        let keys: Vec<&[u8]> = rest.map(|r| r.key_in(&payload)).collect();
+        assert_eq!(keys, [&b"b"[..], b"c"]);
+    }
+
+    #[test]
+    fn truncation_sweep_never_decodes_a_cut_element() {
+        // Every strict prefix of a valid leaf either ends exactly at an
+        // element boundary (and then decodes cleanly to the elements
+        // before it) or cuts an element, which the cursor must report as
+        // unclean — never a panic and never a partial element.
+        let items = vec![
+            Item::map("k-one", "value one"),
+            Item::map("", ""),
+            Item::map("k-three", vec![7u8; 200]),
+            Item::map(vec![0xffu8; 130], "x"),
+        ];
+        for ty in [TreeType::List, TreeType::Set, TreeType::Map] {
+            let payload = encode(ty, &items);
+            let ends: Vec<usize> = RawItemCursor::new(ty, &payload).map(|r| r.span.1).collect();
+            for cut in 0..payload.len() {
+                let prefix = &payload[..cut];
+                let mut cursor = RawItemCursor::new(ty, prefix);
+                let n = cursor.by_ref().count();
+                match ends.iter().position(|&e| e == cut) {
+                    Some(i) => {
+                        assert!(cursor.finished_clean(), "{ty:?} cut {cut} at a boundary");
+                        assert_eq!(n, i + 1);
+                    }
+                    None if cut == 0 => assert!(cursor.finished_clean()),
+                    None => {
+                        assert!(
+                            !cursor.finished_clean(),
+                            "{ty:?} cut {cut} inside an element"
+                        );
+                        assert_eq!(RawItemCursor::new(ty, prefix).finish(), None);
+                    }
+                }
+            }
+        }
     }
 }

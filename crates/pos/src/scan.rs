@@ -1,7 +1,7 @@
 //! Tree walking: leaf-entry collection, counting, and point lookups.
 
-use crate::entry::{decode_index_payload, decode_index_payload_shared, IndexEntry};
-use crate::leaf::{count_items, decode_items, last_key};
+use crate::entry::{decode_index_payload, IndexCursor, IndexEntry};
+use crate::leaf::{Item, RawItemCursor};
 use crate::types::TreeType;
 use bytes::Bytes;
 use forkbase_chunk::ChunkStore;
@@ -55,11 +55,13 @@ pub fn scan_tree(store: &dyn ChunkStore, root: Digest, ty: TreeType) -> Option<T
     let chunk = store.get(&root)?;
     if !chunk.ty().is_index() {
         // Root is a single leaf: synthesize its entry.
-        let count = count_items(ty, chunk.payload())?;
-        let key = if ty.is_sorted() {
-            last_key(ty, chunk.payload()).unwrap_or_default()
+        let payload = chunk.payload();
+        let (count, key) = if ty == TreeType::Blob {
+            (payload.len() as u64, Bytes::new())
         } else {
-            Bytes::new()
+            let (count, last) = RawItemCursor::new(ty, payload).finish()?;
+            let key = last.map_or(&[][..], |r| r.key_in(payload));
+            (count, Bytes::copy_from_slice(key))
         };
         return Some(TreeScan {
             leaf_entries: vec![IndexEntry {
@@ -71,7 +73,7 @@ pub fn scan_tree(store: &dyn ChunkStore, root: Digest, ty: TreeType) -> Option<T
         });
     }
 
-    let (root_level, root_entries) = decode_index_payload_shared(chunk.payload(), ty.is_sorted())?;
+    let (root_level, root_entries) = decode_index_payload(chunk.payload(), ty.is_sorted())?;
     let mut leaf_entries = Vec::new();
     // Depth-first, left to right. Stack holds (level, entries, next index).
     let mut stack = vec![(root_level, root_entries, 0usize)];
@@ -87,8 +89,7 @@ pub fn scan_tree(store: &dyn ChunkStore, root: Digest, ty: TreeType) -> Option<T
         let child_cid = entries[idx].cid;
         stack.push((level, entries, idx + 1));
         let child = store.get(&child_cid)?;
-        let (child_level, child_entries) =
-            decode_index_payload_shared(child.payload(), ty.is_sorted())?;
+        let (child_level, child_entries) = decode_index_payload(child.payload(), ty.is_sorted())?;
         debug_assert_eq!(child_level, level - 1);
         stack.push((child_level, child_entries, 0));
     }
@@ -101,69 +102,74 @@ pub fn scan_tree(store: &dyn ChunkStore, root: Digest, ty: TreeType) -> Option<T
 /// Total element count by reading only the root chunk.
 pub fn total_count(store: &dyn ChunkStore, root: Digest, ty: TreeType) -> Option<u64> {
     let chunk = store.get(&root)?;
+    let payload = chunk.payload();
     if chunk.ty().is_index() {
-        let (_, entries) = decode_index_payload(chunk.payload(), ty.is_sorted())?;
-        Some(entries.iter().map(|e| e.count).sum())
+        IndexCursor::new(payload, ty.is_sorted()).finish()
+    } else if ty == TreeType::Blob {
+        Some(payload.len() as u64)
     } else {
-        count_items(ty, chunk.payload())
+        RawItemCursor::new(ty, payload).finish().map(|(n, _)| n)
     }
 }
 
 /// Point lookup by key in a sorted tree. Fetches one chunk per level —
 /// "only the relevant nodes are fetched instead of the entire tree"
-/// (§4.3.1).
-pub fn get_by_key(
-    store: &dyn ChunkStore,
-    root: Digest,
-    ty: TreeType,
-    key: &[u8],
-) -> Option<crate::leaf::Item> {
+/// (§4.3.1) — and walks each in place, copying out only the hit. Every
+/// node on the path must still decode cleanly to its end, so a lookup
+/// never answers from a corrupt chunk.
+pub fn get_by_key(store: &dyn ChunkStore, root: Digest, ty: TreeType, key: &[u8]) -> Option<Item> {
     debug_assert!(ty.is_sorted());
     let mut cid = root;
     loop {
         let chunk = store.get(&cid)?;
+        let payload = chunk.payload();
         if chunk.ty().is_index() {
-            let (_, entries) = decode_index_payload(chunk.payload(), true)?;
-            let idx = entries.partition_point(|e| e.key.as_ref() < key);
-            if idx == entries.len() {
-                return None; // key beyond every subtree
-            }
-            cid = entries[idx].cid;
+            let mut entries = IndexCursor::new(payload, true);
+            // None: key beyond every subtree, or a corrupt node.
+            let child = entries.find(|e| e.key >= key)?;
+            entries.finish()?;
+            cid = child.cid;
         } else {
-            let items = decode_items(ty, chunk.payload())?;
-            return items
-                .binary_search_by(|i| i.key.as_ref().cmp(key))
-                .ok()
-                .map(|i| items[i].clone());
+            let mut items = RawItemCursor::new(ty, payload);
+            let hit = items.find(|r| r.key_in(payload) >= key)?;
+            if hit.key_in(payload) != key {
+                return None;
+            }
+            items.finish()?;
+            return Some(hit.to_item(payload));
         }
     }
 }
 
-/// Point lookup by element position (any tree type). Descends via subtree
-/// counts.
+/// Point lookup by element position in an item tree (List/Set/Map).
+/// Descends via subtree counts; like [`get_by_key`] it walks each node in
+/// place and copies out only the hit.
 pub fn get_by_pos(
     store: &dyn ChunkStore,
     root: Digest,
     ty: TreeType,
     mut pos: u64,
-) -> Option<crate::leaf::Item> {
+) -> Option<Item> {
     let mut cid = root;
     loop {
         let chunk = store.get(&cid)?;
+        let payload = chunk.payload();
         if chunk.ty().is_index() {
-            let (_, entries) = decode_index_payload(chunk.payload(), ty.is_sorted())?;
-            let mut found = None;
-            for e in &entries {
-                if pos < e.count {
-                    found = Some(e.cid);
-                    break;
+            let mut entries = IndexCursor::new(payload, ty.is_sorted());
+            let child = entries.find(|e| {
+                let inside = pos < e.count;
+                if !inside {
+                    pos -= e.count;
                 }
-                pos -= e.count;
-            }
-            cid = found?;
+                inside
+            })?;
+            entries.finish()?;
+            cid = child.cid;
         } else {
-            let items = decode_items(ty, chunk.payload())?;
-            return items.get(pos as usize).cloned();
+            let mut items = RawItemCursor::new(ty, payload);
+            let hit = items.nth(usize::try_from(pos).ok()?)?;
+            items.finish()?;
+            return Some(hit.to_item(payload));
         }
     }
 }
@@ -172,7 +178,6 @@ pub fn get_by_pos(
 mod tests {
     use super::*;
     use crate::builder::{build_blob, build_items};
-    use crate::leaf::Item;
     use forkbase_chunk::MemStore;
     use forkbase_crypto::ChunkerConfig;
 

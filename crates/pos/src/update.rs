@@ -218,13 +218,11 @@ fn update_sorted_inner(
         let payload = chunk.payload();
         raw_items.clear();
         let mut cursor = RawItemCursor::new(ty, payload);
-        while let Some(raw) = cursor.next() {
-            raw_items.push(raw);
-        }
+        raw_items.extend(cursor.by_ref());
         if !cursor.finished_clean() {
             return None; // corrupt leaf payload
         }
-        let key_of = |r: &crate::leaf::RawItem| &payload[r.key.0..r.key.1];
+        let key_of = |r: &crate::leaf::RawItem| r.key_in(payload);
         let is_last_leaf = leaf_i + 1 == leaves.len();
         let mut i = 0usize;
         while i < raw_items.len() {
@@ -497,9 +495,7 @@ fn splice_list_inner(
         let payload = chunk.payload();
         raw_items.clear();
         let mut cursor = RawItemCursor::new(TreeType::List, payload);
-        while let Some(raw) = cursor.next() {
-            raw_items.push(raw);
-        }
+        raw_items.extend(cursor.by_ref());
         if !cursor.finished_clean() {
             return None; // corrupt leaf payload
         }

@@ -89,6 +89,44 @@ proptest! {
     }
 
     #[test]
+    fn map_iter_from_matches_btreemap_range(
+        pairs in prop::collection::vec((key_strategy(), "[a-z]{0,8}"), 0..120),
+        // `[a-g]{0,7}` probes land on keys, between keys, before the first
+        // key (the empty probe) and past the last (anything with a `g`).
+        probes in prop::collection::vec("[a-g]{0,7}", 1..12),
+    ) {
+        let store = MemStore::new();
+        let cfg = cfg();
+        let model: BTreeMap<String, String> = pairs.iter().cloned().collect();
+        let map = Map::build(&store, &cfg, pairs.iter().map(|(k, v)| (k.clone(), v.clone())));
+        for probe in &probes {
+            let got: Vec<(Bytes, Bytes)> = map.iter_from(&store, probe.as_bytes()).collect();
+            let want: Vec<(Bytes, Bytes)> = model
+                .range(probe.clone()..)
+                .map(|(k, v)| (Bytes::from(k.clone()), Bytes::from(v.clone())))
+                .collect();
+            prop_assert_eq!(got, want, "probe {:?}", probe);
+        }
+    }
+
+    #[test]
+    fn list_get_matches_vec_get(
+        elems in prop::collection::vec("[a-z]{0,10}", 0..300),
+        probes in prop::collection::vec(any::<u16>(), 1..24),
+    ) {
+        let store = MemStore::new();
+        let cfg = cfg();
+        let list = List::build(&store, &cfg, elems.iter().cloned());
+        for probe in &probes {
+            // Indices up to 8 past the end exercise the out-of-range miss.
+            let i = (*probe as usize) % (elems.len() + 8);
+            let got = list.get(&store, i as u64).map(|b| b.to_vec());
+            let want = elems.get(i).map(|e| e.as_bytes().to_vec());
+            prop_assert_eq!(got, want, "index {}", i);
+        }
+    }
+
+    #[test]
     fn blob_splice_matches_vec_model(
         data in prop::collection::vec(any::<u8>(), 0..4000),
         ops in prop::collection::vec(

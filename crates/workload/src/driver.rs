@@ -66,10 +66,13 @@ where
 /// each loop owning a client built by `build`.
 ///
 /// `build(worker)` runs on the worker's own thread (so e.g. dials
-/// proceed concurrently); every worker then parks on a barrier, and the
-/// measured window opens only once all clients exist — connection setup
-/// never pollutes throughput or latency numbers. `op(&mut client,
-/// worker, i)` executes the `i`-th operation of loop `worker`.
+/// proceed concurrently); every worker then parks on a barrier, so no
+/// operation starts before all clients exist — connection setup never
+/// pollutes throughput or latency numbers. Each worker clocks its own
+/// loop, and the measured window runs from the earliest worker start to
+/// the latest worker end, so it covers every measured operation however
+/// the threads are scheduled. `op(&mut client, worker, i)` executes the
+/// `i`-th operation of loop `worker`.
 pub fn run_closed_loop_with<C, B, F>(
     workers: usize,
     ops_per_worker: usize,
@@ -82,9 +85,9 @@ where
     F: Fn(&mut C, usize, usize) + Sync,
 {
     assert!(workers > 0, "at least one driver worker");
-    let barrier = Barrier::new(workers + 1);
+    let barrier = Barrier::new(workers);
     let mut lats: Vec<u64> = Vec::new();
-    let mut elapsed_ns = 1u64;
+    let mut window: Option<(Instant, Instant)> = None;
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|t| {
@@ -92,24 +95,24 @@ where
                 s.spawn(move || {
                     let mut client = build(t);
                     barrier.wait();
+                    let start = Instant::now();
                     let mut lats = Vec::with_capacity(ops_per_worker);
                     for i in 0..ops_per_worker {
                         let t0 = Instant::now();
                         op(&mut client, t, i);
                         lats.push(t0.elapsed().as_nanos() as u64);
                     }
-                    lats
+                    (lats, start, Instant::now())
                 })
             })
             .collect();
-        barrier.wait();
-        let start = Instant::now();
-        lats = handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("driver worker panicked"))
-            .collect();
-        elapsed_ns = (start.elapsed().as_nanos() as u64).max(1);
+        for h in handles {
+            let (worker_lats, start, end) = h.join().expect("driver worker panicked");
+            lats.extend(worker_lats);
+            window = Some(window.map_or((start, end), |(s, e)| (s.min(start), e.max(end))));
+        }
     });
+    let elapsed_ns = window.map_or(0, |(s, e)| (e - s).as_nanos() as u64).max(1);
     lats.sort_unstable();
     let total_ops = lats.len() as u64;
     let pct = |p: f64| -> u64 {

@@ -36,8 +36,8 @@
 //! assert_eq!(obj.depth, 0);
 //! ```
 //!
-//! See `examples/` for runnable end-to-end scenarios and `DESIGN.md` for
-//! the system inventory and per-experiment index.
+//! See `examples/` for runnable end-to-end scenarios, `README.md` for the
+//! crate inventory and `EXPERIMENTS.md` for the per-experiment index.
 
 pub use forkbase_chunk as chunk;
 pub use forkbase_cluster as cluster;
