@@ -7,7 +7,7 @@
 //!   synchronous `commit_map_batch` (encode + hash + store round trip).
 //!   This is the cached-tree path the repo has benched since PR 5, now
 //!   at the engine surface.
-//! * `hot` — tier on: reads are flat-HAMT hits, updates land in the
+//! * `hot` — tier on: reads are flat hash-map hits, updates land in the
 //!   tier and drain through the background publisher's group commits.
 //!
 //! Both variants run over a durable `LogStore` in a temp dir with the
@@ -15,8 +15,9 @@
 //! deterministic schedules — the delta is purely what the flat tier
 //! buys over walking the authenticated tree for latest-state access.
 //! `scripts/bench.sh` assembles `BENCH_hot.json` with the derived
-//! hot-vs-tree speedups. CI checks only that the bench runs and emits
-//! every id (`scripts/ci_bench_gate.sh`); no speedup floor is gated.
+//! hot-vs-tree speedups. CI checks that the bench runs and emits every
+//! id, and fails when a speedup falls below its floor: 5× on YCSB-C, 3×
+//! on YCSB-A (`scripts/ci_bench_gate.sh`).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fb_workload::{Op, YcsbConfig, YcsbGen};

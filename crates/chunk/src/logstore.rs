@@ -1173,32 +1173,14 @@ impl LogInner {
     // ---- ChunkStore bodies (called through the LogStore facade) ----------
 
     fn get(&self, cid: &Digest) -> Option<Chunk> {
-        let loc = self.index.read().get(cid).copied();
-        let found = match loc {
-            Some(loc) => {
-                if let Some(chunk) = self.pending.read().get(cid).cloned() {
-                    Some(chunk)
-                } else {
-                    match self.read_record(cid, loc) {
-                        Ok(chunk) => Some(chunk),
-                        Err(e) => {
-                            self.note_read_error(&e);
-                            None
-                        }
-                    }
-                }
-            }
-            None => None,
-        };
-        self.stats.record_get(found.is_some());
-        found
+        self.get_many(std::slice::from_ref(cid)).pop().flatten()
     }
 
     /// Batched get: all locations are resolved under **one** index
     /// read-lock acquisition and all still-queued chunks under one
     /// pending-map acquisition; only the positioned segment reads remain
-    /// per-chunk. Equivalent to mapping [`get`](Self::get), including
-    /// per-request stats.
+    /// per-chunk. Every requested cid counts as one get in the stats;
+    /// [`get`](Self::get) is the one-cid call.
     fn get_many(&self, cids: &[Digest]) -> Vec<Option<Chunk>> {
         let locs: Vec<Option<Loc>> = {
             let index = self.index.read();
@@ -1234,67 +1216,17 @@ impl LogInner {
     }
 
     fn put(&self, chunk: Chunk) -> PutOutcome {
-        let cid = chunk.cid();
-        let bytes = chunk.len() as u64;
-        // Dedup fast path without the commit lock.
-        if self.index.read().contains_key(&cid) {
-            self.await_dedup_durable(&cid);
-            self.stats.record_dedup(bytes);
-            return PutOutcome::Deduplicated;
-        }
-        let rec = Self::encode_record(&chunk);
-
-        let mut state = self.commit.lock().expect("commit lock");
-        // Re-check: a racing put may have landed while we encoded.
-        if self.index.read().contains_key(&cid) {
-            drop(state);
-            self.await_dedup_durable(&cid);
-            self.stats.record_dedup(bytes);
-            return PutOutcome::Deduplicated;
-        }
-        // Publish order matters: pending first, then index, so a reader
-        // that sees the index entry always finds the bytes somewhere.
-        self.pending.write().insert(cid, chunk);
-        let loc = self.enqueue(&mut state, cid, rec);
-        self.index.write().insert(cid, loc);
-        let my_seq = state.seq_enqueued;
-        self.stats.record_store(bytes);
-
-        match self.durability {
-            Durability::Always => loop {
-                if state.seq_synced >= my_seq || state.seq_failed >= my_seq {
-                    // Either durable, or dropped by a failed round (the
-                    // poisoned flag and io_errors report the latter).
-                    break;
-                }
-                if state.writing {
-                    state = self.commit_cv.wait(state).expect("commit lock");
-                    continue;
-                }
-                let (s, result) = self.drain_as_leader(state, false);
-                state = s;
-                if result.is_err() {
-                    break; // poisoned flag + io_errors already recorded
-                }
-            },
-            Durability::Batch { .. } | Durability::Os => {
-                let due = self.wants_sync(&state, false) || state.queue_bytes >= QUEUE_HIGH_WATER;
-                if due && !state.writing {
-                    let (s, _result) = self.drain_as_leader(state, false);
-                    state = s;
-                }
-            }
-        }
-        drop(state);
-        PutOutcome::Stored
+        self.put_many(vec![chunk])
+            .pop()
+            .expect("one outcome per chunk")
     }
 
     /// Batched put: every new chunk is encoded outside the commit lock,
     /// then the whole batch is enqueued under **one** commit-lock
     /// acquisition and acknowledged by **one** group-commit round —
     /// under `Always` the batch pays a single fsync instead of one per
-    /// chunk. Outcomes match mapping [`put`](Self::put), including
-    /// within-batch duplicate cids (later occurrences deduplicate).
+    /// chunk. Within-batch duplicate cids deduplicate against the first
+    /// occurrence; [`put`](Self::put) is the one-chunk call.
     fn put_many(&self, chunks: Vec<Chunk>) -> Vec<PutOutcome> {
         let mut out = vec![PutOutcome::Deduplicated; chunks.len()];
         // Dedup fast path and record encoding, all without the commit
@@ -1329,15 +1261,17 @@ impl LogInner {
                     }
                 });
             }
-            let mut seen: FxHashSet<Digest> = FxHashSet::default();
-            fresh.retain(|(i, cid, chunk, _)| {
-                if seen.insert(*cid) {
-                    true
-                } else {
-                    dedup.push((*i, *cid, chunk.len() as u64));
-                    false
-                }
-            });
+            if fresh.len() > 1 {
+                let mut seen: FxHashSet<Digest> = FxHashSet::default();
+                fresh.retain(|(i, cid, chunk, _)| {
+                    if seen.insert(*cid) {
+                        true
+                    } else {
+                        dedup.push((*i, *cid, chunk.len() as u64));
+                        false
+                    }
+                });
+            }
             {
                 let mut pending = self.pending.write();
                 for (_, cid, chunk, _) in &fresh {

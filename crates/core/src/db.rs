@@ -6,7 +6,7 @@
 //! | Put   | [`put`](ForkBase::put) (M3), [`put_guarded`](ForkBase::put_guarded), [`put_conflict`](Engine::put_conflict) (M4) |
 //! | Merge | [`merge_branches`](ForkBase::merge_branches) (M5), [`merge_with_version`](ForkBase::merge_with_version) (M6), [`merge_versions`](Engine::merge_versions) (M7) |
 //! | View  | [`list_keys`](Engine::list_keys) (M8), [`list_tagged_branches`](Engine::list_tagged_branches) (M9), [`list_untagged_branches`](Engine::list_untagged_branches) (M10) |
-//! | Fork  | [`fork`](ForkBase::fork) (M11), [`fork_version`](Engine::fork_version) (M12), [`rename_branch`](Engine::rename_branch) (M13), [`remove_branch`](Engine::remove_branch) (M14) |
+//! | Fork  | [`fork`](ForkBase::fork) (M11), [`fork_version`](Engine::fork_version) (M12), [`rename_branch`](ForkBase::rename_branch) (M13), [`remove_branch`](ForkBase::remove_branch) (M14) |
 //! | Track | [`track`](ForkBase::track) (M15), [`track_version`](Engine::track_version) (M16), [`lca`](Engine::lca) (M17) |
 //!
 //! All of these are available on the [`ForkBase`] handle, which derefs
@@ -19,7 +19,7 @@ use crate::checkpoint::BranchSnapshot;
 use crate::error::{FbError, Result};
 use crate::fobject::FObject;
 use crate::history;
-use crate::hot::{HotTier, HotTierConfig, HotTierStats};
+use crate::hot::{edits_to_batch, HotTier, HotTierConfig, HotTierStats};
 use crate::value::{Value, ValueType};
 use bytes::Bytes;
 use forkbase_chunk::{
@@ -1191,13 +1191,15 @@ impl Engine {
 /// coordination on the methods where the two tiers could disagree about
 /// a key's **default branch**:
 ///
-/// * tree **writes** (`put`, `put_many`, `commit_map_batch`, merges, …)
-///   first publish the key's pending hot edits into the tree and
-///   invalidate its hot entries, so the write's base head already
-///   contains every earlier `hot_put`;
+/// * tree **writes** (`put`, `put_many`, `commit_map_batch`, merges,
+///   renaming or removing the default branch, …) first publish the
+///   key's pending hot edits into the tree and invalidate its hot
+///   entries, so the write's base head already contains every earlier
+///   `hot_put`;
 /// * tree **reads** (`get`, `get_value`, `head`, `track`, `fork`) first
 ///   publish pending hot edits, so a `get` observes every `hot_put`
-///   that happened before it (read-your-writes across tiers).
+///   that happened before it (read-your-writes across tiers);
+///   `checkpoint` and `commit_checkpoint` publish every key's.
 ///
 /// Tagged non-default branches and version reads never touch the hot
 /// tier — historical/cold reads always fall through to the POS-Tree.
@@ -1274,7 +1276,7 @@ impl ForkBase {
     }
 
     /// Reopen an instance from a store plus the cid of a checkpoint
-    /// taken with [`checkpoint`](Engine::checkpoint), hot tier off.
+    /// taken with [`checkpoint`](Self::checkpoint), hot tier off.
     pub fn restore(
         store: Arc<dyn ChunkStore>,
         cfg: ChunkerConfig,
@@ -1327,15 +1329,7 @@ impl ForkBase {
         subkey: impl Into<Bytes>,
         value: impl Into<Bytes>,
     ) -> Result<()> {
-        let key = key.into();
-        match &self.hot {
-            Some(hot) => hot.put_many(&key, vec![(subkey.into(), Some(value.into()))]),
-            None => {
-                let mut wb = forkbase_pos::WriteBatch::new();
-                wb.put(subkey.into(), value.into());
-                self.inner.commit_map_batch(key, None, wb).map(|_| ())
-            }
-        }
+        self.hot_put_many(key, [(subkey.into(), Some(value.into()))])
     }
 
     /// Batched [`hot_put`](Self::hot_put): `None` values are deletes.
@@ -1353,35 +1347,17 @@ impl ForkBase {
         }
         match &self.hot {
             Some(hot) => hot.put_many(&key, entries),
-            None => {
-                let mut wb = forkbase_pos::WriteBatch::new();
-                for (sk, v) in entries {
-                    match v {
-                        Some(v) => {
-                            wb.put(sk, v);
-                        }
-                        None => {
-                            wb.delete(sk);
-                        }
-                    }
-                }
-                self.inner.commit_map_batch(key, None, wb).map(|_| ())
-            }
+            None => self
+                .inner
+                .commit_map_batch(key, None, edits_to_batch(entries))
+                .map(|_| ()),
         }
     }
 
     /// Delete `subkey` from `key`'s latest state (a tombstone in the hot
     /// tier until published).
     pub fn hot_delete(&self, key: impl Into<Bytes>, subkey: impl Into<Bytes>) -> Result<()> {
-        let key = key.into();
-        match &self.hot {
-            Some(hot) => hot.put_many(&key, vec![(subkey.into(), None)]),
-            None => {
-                let mut wb = forkbase_pos::WriteBatch::new();
-                wb.delete(subkey.into());
-                self.inner.commit_map_batch(key, None, wb).map(|_| ())
-            }
-        }
+        self.hot_put_many(key, [(subkey.into(), None)])
     }
 
     /// Publish every pending hot edit into the POS-Tree and, on a
@@ -1401,14 +1377,6 @@ impl ForkBase {
     /// `None` with the tier off.
     pub fn hot_stats(&self) -> Option<HotTierStats> {
         self.hot.as_ref().map(|h| h.stats())
-    }
-
-    /// An O(1) snapshot of `key`'s hot-tier state (subkey → value,
-    /// `None` = tombstone), or `None` when the tier is off or the key
-    /// has no hot entries. The snapshot is immutable and fully isolated
-    /// from later writes.
-    pub fn hot_snapshot(&self, key: impl Into<Bytes>) -> Option<forkbase_pos::Hamt<Option<Bytes>>> {
-        self.hot.as_ref().and_then(|h| h.snapshot(&key.into()))
     }
 
     // ---- Hot/tree coordination --------------------------------------------
@@ -1529,6 +1497,22 @@ impl ForkBase {
         self.inner.fork(key, from, new_branch)
     }
 
+    /// [`Engine::rename_branch`] with hot-tier coordination (renaming
+    /// from or to the default branch moves the head the tier fronts).
+    pub fn rename_branch(&self, key: impl Into<Bytes>, from: &str, to: &str) -> Result<()> {
+        let key = key.into();
+        self.sync_tree_write(&key, Some(from))?;
+        self.sync_tree_write(&key, Some(to))?;
+        self.inner.rename_branch(key, from, to)
+    }
+
+    /// [`Engine::remove_branch`] with hot-tier coordination.
+    pub fn remove_branch(&self, key: impl Into<Bytes>, branch: &str) -> Result<()> {
+        let key = key.into();
+        self.sync_tree_write(&key, Some(branch))?;
+        self.inner.remove_branch(key, branch)
+    }
+
     /// [`Engine::track`] with hot-tier coordination.
     pub fn track(
         &self,
@@ -1568,6 +1552,14 @@ impl ForkBase {
         self.sync_tree_write(&key, Some(target))?;
         self.inner
             .merge_with_version(key, target, ref_uid, resolver)
+    }
+
+    /// [`Engine::checkpoint`], publishing pending hot edits first so
+    /// the checkpoint contains them. Fails only when the tier cannot
+    /// publish.
+    pub fn checkpoint(&self) -> Result<Digest> {
+        self.flush_hot()?;
+        Ok(self.inner.checkpoint())
     }
 
     /// [`Engine::commit_checkpoint`], publishing pending hot edits

@@ -5,11 +5,10 @@
 //! structure to an asynchronously maintained authentication sidecar.
 //! This module is that split for ForkBase:
 //!
-//! * **Hot state** — per engine key, a persistent
-//!   [`Hamt`] from subkey to latest value
-//!   (`None` = tombstone). Point reads and writes are pure in-memory
-//!   hash operations: no chunk fetch, no tree traversal, no hashing of
-//!   content. `Clone` of a key's trie is an O(1) isolated snapshot.
+//! * **Hot state** — per engine key, a plain hash map from subkey to
+//!   latest value (`None` = tombstone), all keys behind one lock. Point
+//!   reads and writes are pure in-memory hash operations: no chunk
+//!   fetch, no tree traversal, no hashing of content.
 //! * **Pending queue** — every hot write is also enqueued (bounded, with
 //!   backpressure once the queue holds `8 × publish_batch` edits).
 //! * **Publisher** — a background thread group-publishes the queue into
@@ -29,8 +28,8 @@
 use crate::db::Engine;
 use crate::error::{FbError, Result};
 use bytes::Bytes;
-use forkbase_crypto::fx::FxHashMap;
-use forkbase_pos::{Hamt, WriteBatch};
+use forkbase_crypto::fx::{FxHashMap, FxHashSet};
+use forkbase_pos::WriteBatch;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
@@ -98,7 +97,8 @@ pub struct HotTierStats {
     pub pending: u64,
 }
 
-type HotMap = Hamt<Option<Bytes>>;
+/// One engine key's latest state: subkey → value (`None` = tombstone).
+type HotMap = FxHashMap<Bytes, Option<Bytes>>;
 
 /// Pending (unpublished) edits, guarded by one mutex with two condvars:
 /// `work` wakes the publisher, `room` wakes writers blocked on
@@ -107,11 +107,12 @@ struct Pending {
     edits: FxHashMap<Bytes, Vec<(Bytes, Option<Bytes>)>>,
     total: usize,
     /// Keys currently being published (their edits are out of `edits`
-    /// but not yet in the tree), refcounted: the publisher and a
-    /// concurrent `flush` can each have a round in flight for the same
-    /// key. Drains must wait the count down to zero, or a subsequent
-    /// tree access could observe a head about to move.
-    inflight: FxHashMap<Bytes, u32>,
+    /// but not yet in the tree). At most one round per key is in flight:
+    /// two concurrent rounds would race on the key's head, and the loser
+    /// would merge its older edits over the newer ones. Drains wait the
+    /// mark out, or a subsequent tree access could observe a head about
+    /// to move.
+    inflight: FxHashSet<Bytes>,
     /// First publish error, if any. A poisoned tier fails all further
     /// hot writes/flushes — the flat index may be ahead of a tree that
     /// can no longer accept it.
@@ -121,9 +122,9 @@ struct Pending {
 struct Shared {
     engine: Arc<Engine>,
     cfg: HotTierConfig,
-    /// key → its latest-state trie. Slots are never removed by readers;
-    /// tree writes invalidate by removing the whole slot.
-    state: RwLock<FxHashMap<Bytes, Arc<RwLock<HotMap>>>>,
+    /// key → its latest state. Tree writes invalidate a key by removing
+    /// its whole map; one lock orders that against concurrent hot writes.
+    state: RwLock<FxHashMap<Bytes, HotMap>>,
     pending: Mutex<Pending>,
     work: Condvar,
     room: Condvar,
@@ -140,19 +141,6 @@ impl Shared {
         self.cfg.publish_batch.saturating_mul(8).max(1)
     }
 
-    fn slot(&self, key: &Bytes) -> Arc<RwLock<HotMap>> {
-        if let Some(s) = self.state.read().expect("state lock").get(key) {
-            return Arc::clone(s);
-        }
-        Arc::clone(
-            self.state
-                .write()
-                .expect("state lock")
-                .entry(key.clone())
-                .or_default(),
-        )
-    }
-
     fn poison_err(msg: &str) -> FbError {
         FbError::Io(format!("hot tier poisoned by publish failure: {msg}"))
     }
@@ -161,30 +149,31 @@ impl Shared {
     /// number of edits on success.
     fn publish_key(&self, key: &Bytes, edits: Vec<(Bytes, Option<Bytes>)>) -> Result<usize> {
         let n = edits.len();
-        let mut wb = WriteBatch::with_capacity(n);
-        for (sk, v) in edits {
-            match v {
-                Some(v) => {
-                    wb.put(sk, v);
-                }
-                None => {
-                    wb.delete(sk);
-                }
-            }
-        }
-        self.engine.commit_map_batch(key.clone(), None, wb)?;
+        self.engine
+            .commit_map_batch(key.clone(), None, edits_to_batch(edits))?;
         self.published.fetch_add(n as u64, Ordering::Relaxed);
         Ok(n)
     }
 
-    /// Take the whole queue, marking every taken key in-flight. Caller
-    /// must clear `inflight` (and notify `room`) when done.
-    fn take_all(p: &mut Pending) -> FxHashMap<Bytes, Vec<(Bytes, Option<Bytes>)>> {
-        let work = std::mem::take(&mut p.edits);
-        p.total = 0;
-        for key in work.keys() {
-            *p.inflight.entry(key.clone()).or_insert(0) += 1;
-        }
+    /// Take every queued key that has no round in flight, marking the
+    /// taken keys in-flight. Caller must clear `inflight` (and notify
+    /// `room`) when done.
+    fn take_ready(p: &mut Pending) -> FxHashMap<Bytes, Vec<(Bytes, Option<Bytes>)>> {
+        let mut work = FxHashMap::default();
+        let Pending {
+            edits,
+            total,
+            inflight,
+            ..
+        } = p;
+        edits.retain(|key, run| {
+            if !inflight.insert(key.clone()) {
+                return true;
+            }
+            *total -= run.len();
+            work.insert(key.clone(), std::mem::take(run));
+            false
+        });
         work
     }
 
@@ -192,12 +181,14 @@ impl Shared {
     /// error poisons the tier and is returned.
     fn publish_work(&self, work: FxHashMap<Bytes, Vec<(Bytes, Option<Bytes>)>>) -> Result<()> {
         let mut first_err: Option<FbError> = None;
-        for (key, edits) in &work {
+        let mut keys = Vec::with_capacity(work.len());
+        for (key, edits) in work {
             if first_err.is_none() {
-                if let Err(e) = self.publish_key(key, edits.clone()) {
+                if let Err(e) = self.publish_key(&key, edits) {
                     first_err = Some(e);
                 }
             }
+            keys.push(key);
         }
         if first_err.is_none() {
             if let Err(e) = self.checkpoint_if_durable() {
@@ -205,8 +196,8 @@ impl Shared {
             }
         }
         let mut p = self.pending.lock().expect("pending lock");
-        for key in work.keys() {
-            release_inflight(&mut p, key);
+        for key in &keys {
+            p.inflight.remove(key);
         }
         if let Some(e) = &first_err {
             p.poisoned.get_or_insert_with(|| e.to_string());
@@ -255,7 +246,7 @@ impl HotTier {
             pending: Mutex::new(Pending {
                 edits: FxHashMap::default(),
                 total: 0,
-                inflight: FxHashMap::default(),
+                inflight: FxHashSet::default(),
                 poisoned: None,
             }),
             work: Condvar::new(),
@@ -281,18 +272,13 @@ impl HotTier {
     /// Point read: flat index first (hit even on tombstones), committed
     /// tree on miss.
     pub(crate) fn get(&self, key: &Bytes, subkey: &[u8]) -> Result<Option<Bytes>> {
-        let slot = self
-            .shared
-            .state
-            .read()
-            .expect("state lock")
-            .get(key)
-            .cloned();
-        if let Some(slot) = slot {
-            if let Some(v) = slot.read().expect("slot lock").get(subkey) {
-                self.shared.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(v.clone());
-            }
+        let hit = {
+            let state = self.shared.state.read().expect("state lock");
+            state.get(key).and_then(|map| map.get(subkey)).cloned()
+        };
+        if let Some(v) = hit {
+            self.shared.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(v);
         }
         self.shared.misses.fetch_add(1, Ordering::Relaxed);
         self.shared.engine.map_get_latest(key, subkey)
@@ -307,8 +293,8 @@ impl HotTier {
         }
         let n = entries.len();
         {
-            let slot = self.shared.slot(key);
-            let mut map = slot.write().expect("slot lock");
+            let mut state = self.shared.state.write().expect("state lock");
+            let map = state.entry(key.clone()).or_default();
             for (sk, v) in &entries {
                 map.insert(sk.clone(), v.clone());
             }
@@ -347,7 +333,7 @@ impl HotTier {
                 if let Some(msg) = &p.poisoned {
                     return Err(Shared::poison_err(msg));
                 }
-                if p.inflight.contains_key(key) {
+                if p.inflight.contains(key) {
                     let q = self.shared.room.wait(p).expect("pending lock");
                     drop(q);
                     continue;
@@ -356,7 +342,7 @@ impl HotTier {
                     None => return Ok(()),
                     Some(edits) => {
                         p.total -= edits.len();
-                        *p.inflight.entry(key.clone()).or_insert(0) += 1;
+                        p.inflight.insert(key.clone());
                         edits
                     }
                 }
@@ -364,7 +350,7 @@ impl HotTier {
             self.shared.room.notify_all();
             let res = self.shared.publish_key(key, edits);
             let mut p = self.shared.pending.lock().expect("pending lock");
-            release_inflight(&mut p, key);
+            p.inflight.remove(key);
             if let Err(e) = &res {
                 p.poisoned.get_or_insert_with(|| e.to_string());
             }
@@ -391,15 +377,17 @@ impl HotTier {
                 if let Some(msg) = &p.poisoned {
                     return Err(Shared::poison_err(msg));
                 }
-                if p.edits.is_empty() {
-                    if p.inflight.is_empty() {
-                        break;
-                    }
+                if p.edits.is_empty() && p.inflight.is_empty() {
+                    break;
+                }
+                let work = Shared::take_ready(&mut p);
+                if work.is_empty() {
+                    // Everything left is in flight elsewhere.
                     let q = self.shared.room.wait(p).expect("pending lock");
                     drop(q);
                     continue;
                 }
-                Shared::take_all(&mut p)
+                work
             };
             self.shared.room.notify_all();
             self.shared.publish_work(work)?;
@@ -418,19 +406,6 @@ impl HotTier {
             pending,
         }
     }
-
-    /// O(1) snapshot of one key's flat state.
-    pub(crate) fn snapshot(&self, key: &Bytes) -> Option<HotMap> {
-        let slot = self
-            .shared
-            .state
-            .read()
-            .expect("state lock")
-            .get(key)
-            .cloned()?;
-        let snap = slot.read().expect("slot lock").clone();
-        Some(snap)
-    }
 }
 
 impl Drop for HotTier {
@@ -448,15 +423,16 @@ impl Drop for HotTier {
     }
 }
 
-/// Drop one in-flight reference for `key`, removing the mark when the
-/// last concurrent round for it completes.
-fn release_inflight(p: &mut Pending, key: &Bytes) {
-    if let Some(n) = p.inflight.get_mut(key) {
-        *n -= 1;
-        if *n == 0 {
-            p.inflight.remove(key);
-        }
+/// Turn hot edits (`None` = delete) into one map [`WriteBatch`].
+pub(crate) fn edits_to_batch(edits: Vec<(Bytes, Option<Bytes>)>) -> WriteBatch {
+    let mut wb = WriteBatch::with_capacity(edits.len());
+    for (sk, v) in edits {
+        match v {
+            Some(v) => wb.put(sk, v),
+            None => wb.delete(sk),
+        };
     }
+    wb
 }
 
 fn publisher_loop(shared: Arc<Shared>) {
@@ -475,7 +451,16 @@ fn publisher_loop(shared: Arc<Shared>) {
         if p.total == 0 {
             continue;
         }
-        let work = Shared::take_all(&mut p);
+        let work = Shared::take_ready(&mut p);
+        if work.is_empty() {
+            // Every queued key has a drain or flush round in flight.
+            let (q, _timeout) = shared
+                .room
+                .wait_timeout(p, shared.cfg.publish_interval)
+                .expect("pending lock");
+            p = q;
+            continue;
+        }
         drop(p);
         shared.room.notify_all();
         // Publish errors poison the tier (inside publish_work); the
@@ -484,8 +469,9 @@ fn publisher_loop(shared: Arc<Shared>) {
         let _ = shared.publish_work(work);
         p = shared.pending.lock().expect("pending lock");
     }
-    // Final drain: publish everything still queued before exiting.
-    let work = Shared::take_all(&mut p);
+    // Final drain: publish everything still queued and not in flight
+    // elsewhere before exiting (`HotTier::drop` flushes the rest).
+    let work = Shared::take_ready(&mut p);
     drop(p);
     if !work.is_empty() {
         let _ = shared.publish_work(work);
@@ -495,7 +481,7 @@ fn publisher_loop(shared: Arc<Shared>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::db::ForkBase;
+    use crate::db::{ForkBase, DEFAULT_BRANCH};
     use crate::value::Value;
 
     fn hot_db(publish_batch: usize, interval_ms: u64) -> ForkBase {
@@ -632,15 +618,49 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_is_isolated_from_later_writes() {
-        let db = hot_db(1024, 1000);
+    fn checkpoint_contains_pending_hot_puts() {
+        let db = hot_db(1 << 20, 10_000); // publisher effectively idle
         db.hot_put("k", "a", "1").unwrap();
-        let snap = db.hot_snapshot("k").unwrap();
-        db.hot_put("k", "a", "2").unwrap();
-        db.hot_put("k", "b", "3").unwrap();
-        assert_eq!(snap.get(b"a"), Some(&Some(b("1"))));
-        assert_eq!(snap.get(b"b"), None);
-        assert_eq!(db.hot_get("k", b"a").unwrap(), Some(b("2")));
+        let cid = db.checkpoint().unwrap();
+        let restored = ForkBase::restore(db.store_arc(), db.cfg().clone(), cid).unwrap();
+        assert_eq!(restored.hot_get("k", b"a").unwrap(), Some(b("1")));
+    }
+
+    #[test]
+    fn removing_the_default_branch_drops_hot_state() {
+        let db = hot_db(1 << 20, 10_000);
+        db.hot_put("k", "a", "1").unwrap();
+        db.fork("k", DEFAULT_BRANCH, "side").unwrap();
+        db.remove_branch("k", DEFAULT_BRANCH).unwrap();
+        assert_eq!(db.hot_get("k", b"a").unwrap(), None);
+        let side = db.get_value("k", Some("side")).unwrap().as_map().unwrap();
+        assert_eq!(side.get(db.store(), b"a"), Some(b("1")));
+    }
+
+    #[test]
+    fn renaming_the_default_branch_moves_pending_hot_puts() {
+        let db = hot_db(1 << 20, 10_000);
+        db.hot_put("k", "a", "1").unwrap();
+        db.rename_branch("k", DEFAULT_BRANCH, "old").unwrap();
+        assert_eq!(db.hot_get("k", b"a").unwrap(), None);
+        let old = db.get_value("k", Some("old")).unwrap().as_map().unwrap();
+        assert_eq!(old.get(db.store(), b"a"), Some(b("1")));
+    }
+
+    #[test]
+    fn flush_and_publisher_never_publish_one_key_concurrently() {
+        // 1-edit rounds: the publisher is usually mid-round on "k" when
+        // flush takes the next edit. Two concurrent rounds on one key
+        // would let the older one merge over the newer.
+        let db = hot_db(1, 1);
+        for i in 0..300u32 {
+            db.hot_put("k", "a", format!("{i}a")).unwrap();
+            std::thread::sleep(Duration::from_micros(i as u64 % 100));
+            db.hot_put("k", "a", format!("{i}b")).unwrap();
+            db.flush_hot().unwrap();
+            let map = db.get_value("k", None).unwrap().as_map().unwrap();
+            assert_eq!(map.get(db.store(), b"a"), Some(b(&format!("{i}b"))));
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! must be observationally identical to the synchronous tree-only path.
 //!
 //! Two `ForkBase` handles run the same randomized op schedule — one with
-//! the tier on (writes land in the flat HAMT and are published
+//! the tier on (writes land in the flat hash map and are published
 //! asynchronously), one with it off (every hot op degrades to a
 //! synchronous `commit_map_batch`/map read). After **every** op the
 //! visible state must agree, and after a final flush the committed map
@@ -17,7 +17,7 @@
 //! publishing happens inside `flush_hot`/drains. Both legs must pass.
 
 use bytes::Bytes;
-use forkbase_core::{ForkBase, HotTierConfig, WriteBatch};
+use forkbase_core::{ForkBase, HotTierConfig, WriteBatch, DEFAULT_BRANCH};
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -47,6 +47,15 @@ enum HotOp {
     /// A direct tree write through `commit_map_batch` — exercises the
     /// drain + invalidate coordination path.
     TreeBatch(usize, Vec<(String, Option<String>)>),
+    /// Fork the default branch of KEYS[i] to `side`, then remove the
+    /// default branch.
+    ForkRemove(usize),
+    /// Rename the default branch of KEYS[i] to `moved` (dropping an
+    /// older `moved` first).
+    Rename(usize),
+    /// `checkpoint`, then read every key from an instance restored from
+    /// it.
+    Checkpoint,
 }
 
 fn key_idx() -> impl Strategy<Value = usize> {
@@ -69,10 +78,17 @@ fn hot_op() -> impl Strategy<Value = HotOp> {
             prop::collection::vec((subkey(), prop::option::of("[a-z]{0,6}")), 1..4),
         )
             .prop_map(|(k, edits)| HotOp::TreeBatch(k, edits)),
+        1 => key_idx().prop_map(HotOp::ForkRemove),
+        1 => key_idx().prop_map(HotOp::Rename),
+        1 => Just(HotOp::Checkpoint),
     ]
 }
 
-fn apply(db: &ForkBase, op: &HotOp) {
+const SUBKEYS: [&[u8]; 4] = [b"a", b"b", b"c", b"d"];
+
+/// Apply `op`, returning what it observed (branch-op outcomes, restored
+/// reads), which must match between the two instances.
+fn apply(db: &ForkBase, op: &HotOp) -> Vec<String> {
     match op {
         HotOp::Put(k, sk, v) => db
             .hot_put(KEYS[*k], sk.clone(), v.clone())
@@ -93,12 +109,38 @@ fn apply(db: &ForkBase, op: &HotOp) {
             }
             db.commit_map_batch(KEYS[*k], None, wb).expect("tree batch");
         }
+        HotOp::ForkRemove(k) => {
+            let _ = db.remove_branch(KEYS[*k], "side");
+            let fork = db.fork(KEYS[*k], DEFAULT_BRANCH, "side");
+            let remove = db.remove_branch(KEYS[*k], DEFAULT_BRANCH);
+            return vec![format!("{:?} {:?}", fork.is_ok(), remove.is_ok())];
+        }
+        HotOp::Rename(k) => {
+            let _ = db.remove_branch(KEYS[*k], "moved");
+            let rename = db.rename_branch(KEYS[*k], DEFAULT_BRANCH, "moved");
+            return vec![format!("{:?}", rename.is_ok())];
+        }
+        HotOp::Checkpoint => {
+            let cid = db.checkpoint().expect("checkpoint");
+            let restored =
+                ForkBase::restore(db.store_arc(), db.cfg().clone(), cid).expect("restore");
+            let mut reads = Vec::new();
+            for key in KEYS {
+                for sk in SUBKEYS {
+                    let v = restored.hot_get(key, sk).expect("restored read");
+                    reads.push(format!("{key} {v:?}"));
+                }
+            }
+            return reads;
+        }
     }
+    Vec::new()
 }
 
-/// Committed map root cid for one engine key (`None`: never committed).
-fn committed_root(db: &ForkBase, key: &str) -> Option<forkbase_crypto::Digest> {
-    let value = db.get_value(key, None).ok()?;
+/// Committed map root cid for one engine key's branch (`None`: no such
+/// branch).
+fn committed_root(db: &ForkBase, key: &str, branch: &str) -> Option<forkbase_crypto::Digest> {
+    let value = db.get_value(key, Some(branch)).ok()?;
     Some(value.as_map().expect("state keys hold maps").root())
 }
 
@@ -117,13 +159,14 @@ proptest! {
         prop_assert!(!cold.hot_enabled());
 
         for op in &ops {
-            apply(&hot, op);
-            apply(&cold, op);
+            let seen_hot = apply(&hot, op);
+            let seen_cold = apply(&cold, op);
+            prop_assert_eq!(seen_hot, seen_cold, "observed by {:?}", op);
             // Full-state probe after every single op: any subkey the
             // schedule can touch must read identically right now, no
             // matter where the publisher is in its cycle.
             for key in KEYS {
-                for sk in [b"a".as_ref(), b"b", b"c", b"d"] {
+                for sk in SUBKEYS {
                     let h = hot.hot_get(key, sk).expect("hot read");
                     let c = cold.hot_get(key, sk).expect("cold read");
                     prop_assert_eq!(h, c, "key {} subkey {:?} after {:?}", key, sk, op);
@@ -137,12 +180,15 @@ proptest! {
         // arbitrary publish rounds.
         hot.flush_hot().expect("final flush");
         for key in KEYS {
-            prop_assert_eq!(
-                committed_root(&hot, key),
-                committed_root(&cold, key),
-                "committed root for {}",
-                key
-            );
+            for branch in [DEFAULT_BRANCH, "side", "moved"] {
+                prop_assert_eq!(
+                    committed_root(&hot, key, branch),
+                    committed_root(&cold, key, branch),
+                    "committed root for {} on {}",
+                    key,
+                    branch
+                );
+            }
         }
     }
 
@@ -182,8 +228,8 @@ proptest! {
         cold.commit_map_batch("state/conc", None, wb).expect("tree batch");
 
         prop_assert_eq!(
-            committed_root(&hot, "state/conc"),
-            committed_root(&cold, "state/conc"),
+            committed_root(&hot, "state/conc", DEFAULT_BRANCH),
+            committed_root(&cold, "state/conc", DEFAULT_BRANCH),
             "disjoint-key concurrent writes converge"
         );
         // And every entry reads back identically through both paths.

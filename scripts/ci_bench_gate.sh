@@ -11,9 +11,13 @@
 #    Matching by kind tag (not filename) means a new committed bench is
 #    gated the moment bench.sh produces its kind — no workflow edit.
 # 2. Orphan gate — every committed file must have a fresh counterpart.
-# 3. Negative self-tests — the gate must *fail* on (a) a committed file
-#    whose kind no smoke output produced, and (b) a committed file with
-#    an empty benchmarks array. A gate that cannot fail gates nothing.
+# 3. Ratio gate — the fresh "hot" output's within-run speedup of the hot
+#    tier over the cached tree (derived_speedups_hot_vs_tree_cached)
+#    must be at least 5 on ycsb_c and at least 3 on ycsb_a.
+# 4. Negative self-tests — the gate must *fail* on (a) a committed file
+#    whose kind no smoke output produced, (b) a committed file with an
+#    empty benchmarks array, and (c) a hot output with either ratio just
+#    under its floor. A gate that cannot fail gates nothing.
 #
 # Exit 0 = all gates passed.
 set -euo pipefail
@@ -27,6 +31,28 @@ fresh_files=("$@")
 
 kind_of() {
     { grep -oE '"bench": "[^"]+"' "$1" || true; } | head -1 | sed 's/.*: "//; s/"$//'
+}
+
+# Floors for the hot tier's within-run speedups, as "<ratio>:<floor>".
+HOT_FLOORS="ycsb_c:5 ycsb_a:3"
+
+# hot_ratio_gate <hot.json>: fail unless every ratio meets its floor. A
+# missing or null ratio fails too.
+hot_ratio_gate() {
+    local file="$1" fail=0 pair name floor got
+    for pair in $HOT_FLOORS; do
+        name="${pair%%:*}"
+        floor="${pair##*:}"
+        got="$({ grep -A3 '"derived_speedups_hot_vs_tree_cached"' "$file" || true; } \
+            | { grep -oE "\"$name\": [^,}]+" || true; } | head -1 | sed 's/.*: //')"
+        if awk -v g="${got:-null}" -v f="$floor" 'BEGIN { exit !(g != "null" && g + 0 >= f) }'; then
+            echo "   hot_vs_tree_cached $name = $got (floor $floor)"
+        else
+            echo "FAIL: $file hot_vs_tree_cached $name = ${got:-missing}, below floor $floor" >&2
+            fail=1
+        fi
+    done
+    return "$fail"
 }
 
 # ---- 1. Pairwise gates, matched by kind tag ----------------------------
@@ -53,7 +79,23 @@ done
 echo "== orphan gate"
 scripts/check_bench.sh --orphans BENCH_*.json -- "${fresh_files[@]}"
 
-# ---- 3. Negative self-tests -------------------------------------------
+# ---- 3. Ratio gate -----------------------------------------------------
+
+hot_fresh=""
+for f in "${fresh_files[@]}"; do
+    if [ "$(kind_of "$f")" = "hot" ]; then
+        hot_fresh="$f"
+        break
+    fi
+done
+[ -n "$hot_fresh" ] || {
+    echo "FAIL: no fresh smoke output has kind 'hot' for the ratio gate" >&2
+    exit 1
+}
+echo "== ratio gate: $hot_fresh"
+hot_ratio_gate "$hot_fresh"
+
+# ---- 4. Negative self-tests -------------------------------------------
 
 echo "== negative: phantom committed bench must fail the orphan gate"
 printf '{\n  "bench": "phantom",\n  "raw": [\n{"bench":"phantom/x","median_ns_per_iter":1.0,"ops_per_sec":1.0}\n  ]\n}\n' \
@@ -75,4 +117,18 @@ if scripts/check_bench.sh "${fresh_files[0]}" BENCH_empty_neg.tmp.json 2>/dev/nu
 fi
 rm -f BENCH_empty_neg.tmp.json
 
-echo "OK: pairwise + orphan gates passed and both negative self-tests failed as required"
+for low in "4.99 50.00" "50.00 2.99"; do
+    read -r c a <<<"$low"
+    echo "== negative: hot ratios ycsb_c=$c ycsb_a=$a must fail the ratio gate"
+    neg="$(mktemp)"
+    printf '{\n  "bench": "hot",\n  "derived_speedups_hot_vs_tree_cached": {\n    "ycsb_c": %s,\n    "ycsb_a": %s\n  }\n}\n' \
+        "$c" "$a" > "$neg"
+    if hot_ratio_gate "$neg" 2>/dev/null >/dev/null; then
+        rm -f "$neg"
+        echo "FAIL: ratio gate passed on ycsb_c=$c ycsb_a=$a" >&2
+        exit 1
+    fi
+    rm -f "$neg"
+done
+
+echo "OK: pairwise, orphan and ratio gates passed and every negative self-test failed as required"

@@ -64,7 +64,7 @@ fn full_restart_with_checkpoint() {
             .expect("w1");
         db.put_conflict("counter", Some(base), Value::Int(2))
             .expect("w2");
-        let cid = db.checkpoint();
+        let cid = db.checkpoint().expect("checkpoint");
         store.sync().expect("sync");
         cid
     };
@@ -366,7 +366,7 @@ fn put_many_over_persistent_store() {
         )
         .expect("put_many");
         store.sync().expect("sync");
-        let cp = db.checkpoint();
+        let cp = db.checkpoint().expect("checkpoint");
         store.sync().expect("sync");
         std::fs::write(path.with_extension("cp"), cp.as_bytes()).expect("save cp");
     }
